@@ -8,7 +8,7 @@ traffic in bytes normalized to BASIC (Figure 4).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: version of the ``MachineStats.to_dict`` payload.  Bump whenever a
 #: counter is added, removed or changes meaning: deserialization
@@ -103,6 +103,12 @@ class NetworkStats:
         self.by_type[mtype_name] = self.by_type.get(mtype_name, 0) + 1
 
 
+#: field names in declaration order: the keys of ``MachineStats.to_dict``.
+_PROC_FIELDS = tuple(f.name for f in fields(ProcessorStats))
+_CACHE_FIELDS = tuple(f.name for f in fields(CacheStats))
+_NET_FIELDS = tuple(f.name for f in fields(NetworkStats))
+
+
 @dataclass(slots=True)
 class MachineStats:
     """All statistics for one simulation run."""
@@ -179,13 +185,22 @@ class MachineStats:
 
         Every counter is a plain int/float/str, so the round trip is
         lossless -- the durable artifact format of the sweep cache.
+        Same shape and key order as ``dataclasses.asdict`` (the tests
+        pin that), built from the module's field-name tuples instead: this
+        runs once per cached, pooled or served result, and ``asdict``'s
+        recursive deep copy cost ten times as much.
         """
+        net = self.network
+        network = {n: getattr(net, n) for n in _NET_FIELDS}
+        network["by_type"] = dict(net.by_type)  # the one mutable field
         return {
             "version": STATS_SCHEMA_VERSION,
             "execution_time": self.execution_time,
-            "procs": [asdict(p) for p in self.procs],
-            "caches": [asdict(c) for c in self.caches],
-            "network": asdict(self.network),
+            "procs": [{n: getattr(p, n) for n in _PROC_FIELDS}
+                      for p in self.procs],
+            "caches": [{n: getattr(c, n) for n in _CACHE_FIELDS}
+                       for c in self.caches],
+            "network": network,
         }
 
     @classmethod

@@ -98,6 +98,9 @@ class ResultCache:
         write_batch: int = 1,
     ) -> None:
         self.root = Path(root)
+        #: string form of ``root`` for the per-entry paths: the hot
+        #: read/write paths join plain strings, not ``Path`` objects.
+        self._root = str(self.root)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
@@ -149,7 +152,11 @@ class ResultCache:
 
     def path_for_key(self, key: str) -> Path:
         """The file that does/would hold the result hashed to ``key``."""
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._path(key))
+
+    def _path(self, key: str) -> str:
+        """:meth:`path_for_key` as a plain string (per-entry fast path)."""
+        return os.path.join(self._root, key[:2], key + ".json")
 
     def path_for(self, spec: RunSpec) -> Path:
         """The file that does/would hold this spec's result."""
@@ -171,9 +178,10 @@ class ResultCache:
                     self._touch(key)
                     return replace(result, spec=spec, from_cache=True)
                 self.hot_misses += 1
+            size = 0  # unknown for a buffered entry until its flush
             payload = self._pending.get(key)
             if payload is None:
-                payload = self._load(key)
+                payload, size = self._load(key)
             if payload is None:
                 return None
             try:
@@ -187,7 +195,7 @@ class ResultCache:
             result = RunResult(
                 spec=spec, stats=stats, wall_time=wall_time, from_cache=True
             )
-            self._hot_store(key, result, self._disk_size(key))
+            self._hot_store(key, result, size)
         return result
 
     def get_by_key(self, key: str) -> dict | None:
@@ -202,34 +210,40 @@ class ResultCache:
         with self._lock:
             payload = self._pending.get(key)
             if payload is None:
-                payload = self._load(key)
+                payload, _ = self._load(key)
             if payload is None:
                 return None
             self.hits += 1
             self._touch(key)
         return payload
 
-    def _load(self, key: str) -> dict | None:
-        """Read + envelope-check one entry (miss/invalidate accounting)."""
-        path = self.path_for_key(key)
+    def _load(self, key: str) -> tuple[dict | None, int]:
+        """Read + envelope-check one entry (miss/invalidate accounting).
+
+        Returns ``(payload, file size)``, or ``(None, 0)`` on a miss.
+        The file is read as bytes and parsed in one ``json.loads``;
+        bytes that are not UTF-8 JSON (a ``UnicodeDecodeError`` is a
+        ``ValueError`` too) invalidate the entry like any other junk.
+        """
         try:
-            with open(path) as fh:
-                payload = json.load(fh)
+            with open(self._path(key), "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             self.misses += 1
-            return None
-        except (OSError, json.JSONDecodeError):
+            return None, 0
+        except OSError:
             self._invalidate(key)
-            return None
+            return None, 0
         try:
+            payload = json.loads(data)
             if payload["schema"] != CACHE_SCHEMA_VERSION:
                 raise ValueError("cache envelope version mismatch")
             if payload["spec_key"] != key:
                 raise ValueError("cache entry does not match its key")
         except (KeyError, TypeError, ValueError):
             self._invalidate(key)
-            return None
-        return payload
+            return None, 0
+        return payload, len(data)
 
     # -- write ----------------------------------------------------------
 
@@ -289,15 +303,24 @@ class ResultCache:
         return len(pending)
 
     def _write(self, key: str, payload: dict) -> None:
-        """Atomic file write + LRU index/hot-size bookkeeping."""
-        path = self.path_for_key(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        """Atomic file write + LRU index/hot-size bookkeeping.
+
+        The payload is encoded once with ``json.dumps`` (the C encoder;
+        ``json.dump`` to a file object runs the pure-Python one) and
+        written in one call.  The bytes must equal ``json.dumps(payload,
+        sort_keys=True)``: entries written by older builds hold exactly
+        that, and the tests pin it.
+        """
+        data = json.dumps(payload, sort_keys=True).encode()
+        path = self._path(key)
+        shard = os.path.dirname(path)
+        os.makedirs(shard, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
+            dir=shard, prefix=os.path.basename(path), suffix=".tmp"
         )
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, sort_keys=True)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -306,7 +329,7 @@ class ResultCache:
                 pass
             raise
         with self._lock:
-            size = path.stat().st_size
+            size = len(data)
             if self._hot is not None and key in self._hot:
                 self._hot[key] = (self._hot[key][0], size)
             if self._index is not None:
@@ -326,15 +349,6 @@ class ResultCache:
         self._hot[key] = (result, size)
         while len(self._hot) > self.hot_entries:
             self._hot.popitem(last=False)
-
-    def _disk_size(self, key: str) -> int:
-        """Size of the entry's file, 0 if unknown (caller holds lock)."""
-        if self._index is not None:
-            return self._index.get(key, 0)
-        try:
-            return self.path_for_key(key).stat().st_size
-        except OSError:
-            return 0
 
     # -- bounds ---------------------------------------------------------
 
@@ -357,19 +371,26 @@ class ResultCache:
         if key in self._index:
             self._index.move_to_end(key)
         try:
-            os.utime(self.path_for_key(key))
+            os.utime(self._path(key))
         except OSError:
             pass
 
     def _evict(self) -> None:
-        """Drop LRU entries until both configured bounds hold."""
+        """Drop LRU entries until both configured bounds hold.
+
+        An evicted entry leaves the hot tier too: a hot hit on a key
+        whose file is gone would disagree with :meth:`get_by_key` (and
+        so with ``GET /v1/runs/<hash>``) and overstate the hot size.
+        """
         if self._index is None:
             return
         while self._index and self._over_limit():
             key, _ = self._index.popitem(last=False)
             self.evictions += 1
+            if self._hot is not None:
+                self._hot.pop(key, None)
             try:
-                os.unlink(self.path_for_key(key))
+                os.unlink(self._path(key))
             except OSError:
                 pass
 
@@ -394,7 +415,7 @@ class ResultCache:
                 self._hot.pop(key, None)
             self._pending.pop(key, None)
         try:
-            os.unlink(self.path_for_key(key))
+            os.unlink(self._path(key))
         except OSError:
             pass
 

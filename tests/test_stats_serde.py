@@ -1,6 +1,7 @@
 """MachineStats to_dict/from_dict round trips (the cache payload)."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -69,3 +70,38 @@ class TestVersioning:
         payload["procs"][0]["made_up_counter"] = 1
         with pytest.raises(ValueError):
             MachineStats.from_dict(payload)
+
+
+class TestPayloadFormat:
+    """``to_dict`` is the cache file's stats payload: its shape and key
+    order must not drift from the ``asdict`` form older files hold."""
+
+    @pytest.fixture(scope="class")
+    def stats(self) -> MachineStats:
+        return execute_spec(RunSpec.for_run("mp3d", protocol="P+CW+M",
+                                            scale=0.1))
+
+    def test_matches_asdict_reference(self, stats):
+        assert len(stats.procs) == 16
+        assert stats.network.by_type
+        reference = {
+            "version": STATS_SCHEMA_VERSION,
+            "execution_time": stats.execution_time,
+            "procs": [asdict(p) for p in stats.procs],
+            "caches": [asdict(c) for c in stats.caches],
+            "network": asdict(stats.network),
+        }
+        payload = stats.to_dict()
+        assert payload == reference
+        # equal dicts can still differ in key order, which the cache
+        # file (sort_keys) hides but the service's responses show
+        assert json.dumps(payload) == json.dumps(reference)
+
+    def test_payload_does_not_alias_the_stats(self, stats):
+        before = dict(stats.network.by_type)
+        payload = stats.to_dict()
+        payload["network"]["by_type"]["READ_REQ"] = -1
+        payload["network"]["by_type"]["MADE_UP"] = 1
+        payload["procs"][0]["busy"] = -1
+        assert stats.network.by_type == before
+        assert stats.procs[0].busy != -1

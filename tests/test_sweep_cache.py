@@ -61,14 +61,40 @@ class TestPutGet:
         assert len(cache) == 1
 
 
+class TestFileFormat:
+    def test_put_writes_canonical_json_bytes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = fresh_result()
+        cache.put(result)
+        envelope = {
+            "schema": CACHE_SCHEMA_VERSION,
+            "spec_key": SPEC.key(),
+            "spec": SPEC.to_wire(),
+            "stats": _STATS.to_dict(),
+            "wall_time": 0.5,
+        }
+        expected = json.dumps(envelope, sort_keys=True).encode()
+        assert cache.path_for(SPEC).read_bytes() == expected
+
+    def test_hot_tier_size_is_the_file_size(self, tmp_path):
+        ResultCache(tmp_path).put(fresh_result())
+        cache = ResultCache(tmp_path, hot_entries=4)
+        assert cache.get(SPEC) is not None     # disk hit, promoted
+        size = cache.path_for(SPEC).stat().st_size
+        assert cache.stats()["hot"]["bytes"] == size
+
+
 class TestInvalidation:
     def test_corrupt_file_is_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put(fresh_result())
-        cache.path_for(SPEC).write_text("not json{")
-        assert cache.get(SPEC) is None
-        assert cache.invalidated == 1
-        assert not cache.path_for(SPEC).exists()
+        # the second is not even UTF-8: json.loads of the raw bytes
+        # must reject it like any other junk
+        for n, junk in enumerate([b"not json{", b"\xff\xfe\x00garbage"], 1):
+            cache.put(fresh_result())
+            cache.path_for(SPEC).write_bytes(junk)
+            assert cache.get(SPEC) is None
+            assert cache.invalidated == n
+            assert not cache.path_for(SPEC).exists()
 
     def test_envelope_version_mismatch_is_dropped(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -170,6 +196,20 @@ class TestBounds:
         assert cache.get(result_for_seed(1).spec) is None
         assert len(cache) == 0
         assert cache.total_bytes() == 0
+
+    def test_eviction_drops_the_hot_entry(self, tmp_path):
+        cache = ResultCache(tmp_path, max_entries=1, hot_entries=8)
+        a, b = result_for_seed(1), result_for_seed(2)
+        cache.put(a)
+        cache.put(b)
+        assert cache.evictions == 1
+        # both read paths agree that a is gone ...
+        assert cache.get(a.spec) is None
+        assert cache.get_by_key(a.spec.key()) is None
+        # ... and the tier counts only what is still stored
+        assert cache.stats()["hot"]["entries"] == 1
+        assert cache.get(b.spec) is not None
+        assert cache.hot_hits == 1
 
     def test_unbounded_cache_never_evicts(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -81,6 +82,42 @@ class TestHashing:
             capture_output=True, text=True, env=env, check=True,
         )
         assert out.stdout.strip() == spec.key()
+
+
+class TestPinnedKeys:
+    """``RunSpec.key()`` values are cache addresses: files written by an
+    earlier build must still be found.  A change to any of these is a
+    cache-format change and needs a ``SPEC_SCHEMA_VERSION`` bump."""
+
+    @pytest.mark.parametrize("spec, key", [
+        (RunSpec("mp3d"),
+         "657f4f4a13d4df83672827a2f4f46ffc67bf42913970f15e6a41c28adea42d0c"),
+        (RunSpec.for_run(
+            "mp3d", protocol="P+CW+M", n_procs=64, scale=0.1,
+            network=NetworkConfig(kind=NetworkKind.MESH, link_width_bits=32),
+            directory="limited:4"),
+         "997b864984dce99066cfc9bee9df4c6cdd753c0b3cedf8d028e2d9d3017dfa72"),
+        (RunSpec.for_run(
+            "water", protocol="P+CW", consistency="SC", scale=0.5, seed=7,
+            time_steps=2, mols_per_proc=4),
+         "3a7ceee886679d689b51108ed051fe587f945663170422bb634bb85750fe2465"),
+    ], ids=["default", "mesh-limited4", "workload-kw"])
+    def test_key_is_pinned(self, spec, key):
+        assert spec.key() == key
+
+    def test_to_dict_matches_asdict(self):
+        spec = RunSpec.for_run(
+            "lu", n_procs=64, network=mesh_network(16),
+            cache=limited_slc_cache(), directory="coarse:2",
+        )
+        network = asdict(spec.network)
+        network["kind"] = spec.network.kind.value
+        d = spec.to_dict()
+        assert d["network"] == network
+        assert d["cache"] == asdict(spec.cache)
+        assert d["directory"] == asdict(spec.directory)
+        assert list(d["network"]) == list(network)
+        assert list(d["cache"]) == list(asdict(spec.cache))
 
 
 class TestRoundTrip:
